@@ -9,22 +9,20 @@ use crate::dom::{Document, NodeId, NodeKind};
 ///
 /// Non-element nodes never match.
 pub fn matches(doc: &Document, id: NodeId, selector: &Selector) -> bool {
-    let Some(subject) = selector.parts.last() else {
+    let Some((subject, mut remaining)) = selector.parts.split_last() else {
         return false;
     };
     if !matches_simple(doc, id, subject) {
         return false;
     }
     // Walk ancestors matching the remaining chain right-to-left.
-    let mut remaining: Vec<&SimpleSelector> =
-        selector.parts[..selector.parts.len() - 1].iter().collect();
     let mut current = doc.node(id).parent;
-    while let Some(part) = remaining.last() {
+    while let Some((part, outer)) = remaining.split_last() {
         let Some(anc) = current else {
             return false; // ran out of ancestors with parts unmatched
         };
         if matches_simple(doc, anc, part) {
-            remaining.pop();
+            remaining = outer;
         }
         current = doc.node(anc).parent;
     }
@@ -52,12 +50,10 @@ fn matches_simple(doc: &Document, id: NodeId, simple: &SimpleSelector) -> bool {
             .find(|(k, _)| k == "class")
             .map(|(_, v)| v.as_str())
             .unwrap_or("");
-        let classes: Vec<&str> = class_attr.split_whitespace().collect();
-        for want in &simple.classes {
-            if !classes.contains(&want.as_str()) {
-                return false;
-            }
-        }
+        return simple
+            .classes
+            .iter()
+            .all(|want| class_attr.split_whitespace().any(|c| c == want));
     }
     true
 }

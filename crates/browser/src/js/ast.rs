@@ -1,7 +1,74 @@
 //! The JavaScript AST and recursive-descent parser.
 
 use super::lexer::{lex, JsToken};
+use std::collections::HashMap;
 use std::fmt;
+
+/// An interned identifier: an index into [`Program::names`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Name(pub usize);
+
+/// A variable reference, resolved once at parse time so the interpreter
+/// addresses frames and globals by index instead of hashing strings on
+/// every access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Var {
+    /// The variable's global identity.
+    pub name: Name,
+    /// Its slot in the frame of the enclosing function (or of the top
+    /// level): each distinct name a function body uses gets one.
+    pub slot: usize,
+}
+
+/// A binary operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BinOp {
+    /// `+` (numeric addition or string concatenation).
+    Add,
+    /// `-`
+    Sub,
+    /// `*`
+    Mul,
+    /// `/`
+    Div,
+    /// `%`
+    Rem,
+    /// `<`
+    Lt,
+    /// `>`
+    Gt,
+    /// `<=`
+    Le,
+    /// `>=`
+    Ge,
+    /// `==`
+    Eq,
+    /// `!=`
+    Ne,
+}
+
+/// A unary operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UnaryOp {
+    /// `-` (numeric negation).
+    Neg,
+    /// `!` (logical not).
+    Not,
+}
+
+/// What a call expression invokes, resolved at parse time: a host API
+/// always wins over a script function of the same name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Callee {
+    /// `loadImage(url)`.
+    LoadImage,
+    /// `loadScript(url)`.
+    LoadScript,
+    /// `document.write(html)`.
+    DocumentWrite,
+    /// A script-defined function, looked up when the call runs.
+    Function(Name),
+}
 
 /// An expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -12,36 +79,36 @@ pub enum Expr {
     Str(String),
     /// Boolean literal.
     Bool(bool),
-    /// Variable reference.
-    Var(String),
-    /// Binary operation: `+ - * / % < > <= >= == !=`.
+    /// Variable reference (possibly a dotted path such as `a.b`).
+    Var(Var),
+    /// Binary operation.
     Binary {
-        /// Operator text.
-        op: &'static str,
+        /// Operator.
+        op: BinOp,
         /// Left operand.
         left: Box<Expr>,
         /// Right operand.
         right: Box<Expr>,
     },
-    /// Unary operation: `-` or `!`.
+    /// Unary operation.
     Unary {
-        /// Operator text.
-        op: &'static str,
+        /// Operator.
+        op: UnaryOp,
         /// Operand.
         operand: Box<Expr>,
     },
     /// Assignment to a variable (expression-valued, as in JS).
     Assign {
         /// Target variable.
-        name: String,
+        var: Var,
         /// Value expression.
         value: Box<Expr>,
     },
     /// A call to a plain or dotted name, e.g. `loadImage(x)` or
     /// `document.write(y)`.
     Call {
-        /// The (possibly dotted) callee name.
-        target: String,
+        /// The resolved callee.
+        target: Callee,
         /// Argument expressions.
         args: Vec<Expr>,
     },
@@ -52,8 +119,8 @@ pub enum Expr {
 pub enum Stmt {
     /// `var name = init;`
     VarDecl {
-        /// Variable name.
-        name: String,
+        /// The declared variable.
+        var: Var,
         /// Optional initializer.
         init: Option<Expr>,
     },
@@ -76,16 +143,23 @@ pub enum Stmt {
         body: Vec<Stmt>,
     },
     /// `function name(params) { .. }`
-    FunctionDecl {
-        /// Function name.
-        name: String,
-        /// Parameter names.
-        params: Vec<String>,
-        /// Body statements.
-        body: Vec<Stmt>,
-    },
+    FunctionDecl(Function),
     /// `return expr;`
     Return(Option<Expr>),
+}
+
+/// A function declaration.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Function {
+    /// Function name.
+    pub name: Name,
+    /// The frame slots the parameters bind, in order.
+    pub params: Vec<usize>,
+    /// Frame size: the distinct names the body uses outside nested
+    /// functions, parameters included.
+    pub frame: usize,
+    /// Body statements.
+    pub body: Vec<Stmt>,
 }
 
 /// A parsed program.
@@ -95,6 +169,10 @@ pub struct Program {
     pub statements: Vec<Stmt>,
     /// Token count (work accounting).
     pub tokens: usize,
+    /// Interned identifiers; a [`Name`] indexes this table.
+    pub names: Vec<String>,
+    /// Frame size of the top-level code.
+    pub frame: usize,
 }
 
 /// A parse failure (position + message).
@@ -128,6 +206,9 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
         tokens,
         pos: 0,
         depth: 0,
+        names: Vec::new(),
+        index: HashMap::new(),
+        scope: HashMap::new(),
     };
     let mut statements = Vec::new();
     while !p.at_end() {
@@ -136,6 +217,8 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
     Ok(Program {
         statements,
         tokens: n,
+        names: p.names,
+        frame: p.scope.len(),
     })
 }
 
@@ -145,6 +228,10 @@ struct Parser {
     tokens: Vec<JsToken>,
     pos: usize,
     depth: usize,
+    names: Vec<String>,
+    index: HashMap<String, Name>,
+    /// Frame slots of the function (or top level) being parsed.
+    scope: HashMap<Name, usize>,
 }
 
 impl Parser {
@@ -156,10 +243,33 @@ impl Parser {
         self.tokens.get(self.pos)
     }
 
+    /// Takes the current token; the parser never looks back, so the
+    /// consumed slot is left empty instead of cloned.
     fn advance(&mut self) -> Option<JsToken> {
-        let t = self.tokens.get(self.pos).cloned();
+        let t = self
+            .tokens
+            .get_mut(self.pos)
+            .map(|t| std::mem::replace(t, JsToken::Punct("")));
         self.pos += 1;
         t
+    }
+
+    fn intern(&mut self, name: String) -> Name {
+        if let Some(&n) = self.index.get(&name) {
+            return n;
+        }
+        let n = Name(self.names.len());
+        self.names.push(name.clone());
+        self.index.insert(name, n);
+        n
+    }
+
+    /// Resolves a variable in the scope being parsed.
+    fn var(&mut self, ident: String) -> Var {
+        let name = self.intern(ident);
+        let next = self.scope.len();
+        let slot = *self.scope.entry(name).or_insert(next);
+        Var { name, slot }
     }
 
     fn err(&self, message: impl Into<String>) -> ParseError {
@@ -199,7 +309,8 @@ impl Parser {
         match self.peek() {
             Some(JsToken::Keyword("var")) => {
                 self.advance();
-                let name = self.ident()?;
+                let ident = self.ident()?;
+                let var = self.var(ident);
                 let init = if matches!(self.peek(), Some(JsToken::Punct("="))) {
                     self.advance();
                     Some(self.expression()?)
@@ -207,7 +318,7 @@ impl Parser {
                     None
                 };
                 self.semi();
-                Ok(Stmt::VarDecl { name, init })
+                Ok(Stmt::VarDecl { var, init })
             }
             Some(JsToken::Keyword("if")) => {
                 self.advance();
@@ -237,12 +348,17 @@ impl Parser {
             }
             Some(JsToken::Keyword("function")) => {
                 self.advance();
-                let name = self.ident()?;
+                let ident = self.ident()?;
+                let name = self.intern(ident);
                 self.expect_punct("(")?;
+                // A function body resolves its variables in a frame of
+                // its own (there are no closures).
+                let outer = std::mem::take(&mut self.scope);
                 let mut params = Vec::new();
                 if !matches!(self.peek(), Some(JsToken::Punct(")"))) {
                     loop {
-                        params.push(self.ident()?);
+                        let ident = self.ident()?;
+                        params.push(self.var(ident).slot);
                         if matches!(self.peek(), Some(JsToken::Punct(","))) {
                             self.advance();
                         } else {
@@ -252,7 +368,13 @@ impl Parser {
                 }
                 self.expect_punct(")")?;
                 let body = self.block()?;
-                Ok(Stmt::FunctionDecl { name, params, body })
+                let frame = std::mem::replace(&mut self.scope, outer).len();
+                Ok(Stmt::FunctionDecl(Function {
+                    name,
+                    params,
+                    frame,
+                    body,
+                }))
             }
             Some(JsToken::Keyword("return")) => {
                 self.advance();
@@ -315,13 +437,13 @@ impl Parser {
     fn assignment(&mut self) -> Result<Expr, ParseError> {
         let left = self.comparison()?;
         if matches!(self.peek(), Some(JsToken::Punct("="))) {
-            let Expr::Var(name) = left else {
+            let Expr::Var(var) = left else {
                 return Err(self.err("invalid assignment target"));
             };
             self.advance();
             let value = self.assignment()?;
             return Ok(Expr::Assign {
-                name,
+                var,
                 value: Box::new(value),
             });
         }
@@ -329,41 +451,46 @@ impl Parser {
     }
 
     fn comparison(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.additive()?;
-        while let Some(JsToken::Punct(op @ ("<" | ">" | "<=" | ">=" | "==" | "!="))) = self.peek() {
-            let op = *op;
-            self.advance();
-            let right = self.additive()?;
-            left = Expr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
+        self.binary_level(
+            &[
+                ("<", BinOp::Lt),
+                (">", BinOp::Gt),
+                ("<=", BinOp::Le),
+                (">=", BinOp::Ge),
+                ("==", BinOp::Eq),
+                ("!=", BinOp::Ne),
+            ],
+            Self::additive,
+        )
     }
 
     fn additive(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.multiplicative()?;
-        while let Some(JsToken::Punct(op @ ("+" | "-"))) = self.peek() {
-            let op = *op;
-            self.advance();
-            let right = self.multiplicative()?;
-            left = Expr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
+        self.binary_level(
+            &[("+", BinOp::Add), ("-", BinOp::Sub)],
+            Self::multiplicative,
+        )
     }
 
     fn multiplicative(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.unary()?;
-        while let Some(JsToken::Punct(op @ ("*" | "/" | "%"))) = self.peek() {
-            let op = *op;
+        self.binary_level(
+            &[("*", BinOp::Mul), ("/", BinOp::Div), ("%", BinOp::Rem)],
+            Self::unary,
+        )
+    }
+
+    /// One left-associative precedence level over the operators `ops`.
+    fn binary_level(
+        &mut self,
+        ops: &[(&str, BinOp)],
+        operand: fn(&mut Self) -> Result<Expr, ParseError>,
+    ) -> Result<Expr, ParseError> {
+        let mut left = operand(self)?;
+        while let Some(&(_, op)) = match self.peek() {
+            Some(JsToken::Punct(p)) => ops.iter().find(|(text, _)| text == p),
+            _ => None,
+        } {
             self.advance();
-            let right = self.unary()?;
+            let right = operand(self)?;
             left = Expr::Binary {
                 op,
                 left: Box::new(left),
@@ -374,57 +501,68 @@ impl Parser {
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
-        if let Some(JsToken::Punct(op @ ("-" | "!"))) = self.peek() {
-            let op = *op;
-            self.advance();
-            self.enter()?;
-            let operand = self.unary();
-            self.leave();
-            return Ok(Expr::Unary {
-                op,
-                operand: Box::new(operand?),
-            });
-        }
-        self.postfix()
+        let op = match self.peek() {
+            Some(JsToken::Punct("-")) => UnaryOp::Neg,
+            Some(JsToken::Punct("!")) => UnaryOp::Not,
+            _ => return self.postfix(),
+        };
+        self.advance();
+        self.enter()?;
+        let operand = self.unary();
+        self.leave();
+        Ok(Expr::Unary {
+            op,
+            operand: Box::new(operand?),
+        })
     }
 
     fn postfix(&mut self) -> Result<Expr, ParseError> {
-        let primary = self.primary()?;
-        // Dotted member path + optional call.
-        if let Expr::Var(mut name) = primary {
-            while matches!(self.peek(), Some(JsToken::Punct("."))) {
-                self.advance();
-                let field = self.ident()?;
-                name = format!("{name}.{field}");
-            }
-            if matches!(self.peek(), Some(JsToken::Punct("("))) {
-                self.advance();
-                let mut args = Vec::new();
-                if !matches!(self.peek(), Some(JsToken::Punct(")"))) {
-                    loop {
-                        args.push(self.expression()?);
-                        if matches!(self.peek(), Some(JsToken::Punct(","))) {
-                            self.advance();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                self.expect_punct(")")?;
-                return Ok(Expr::Call { target: name, args });
-            }
-            return Ok(Expr::Var(name));
+        // A dotted member path (`document.write`) is one name; a
+        // parenthesized variable continues the path like a bare one.
+        let mut path = match self.advance() {
+            Some(JsToken::Ident(name)) => name,
+            other => match self.primary(other)? {
+                Expr::Var(var) => self.names[var.name.0].clone(),
+                e => return Ok(e),
+            },
+        };
+        while matches!(self.peek(), Some(JsToken::Punct("."))) {
+            self.advance();
+            let field = self.ident()?;
+            path = format!("{path}.{field}");
         }
-        Ok(primary)
+        if !matches!(self.peek(), Some(JsToken::Punct("("))) {
+            return Ok(Expr::Var(self.var(path)));
+        }
+        self.advance();
+        let mut args = Vec::new();
+        if !matches!(self.peek(), Some(JsToken::Punct(")"))) {
+            loop {
+                args.push(self.expression()?);
+                if matches!(self.peek(), Some(JsToken::Punct(","))) {
+                    self.advance();
+                } else {
+                    break;
+                }
+            }
+        }
+        self.expect_punct(")")?;
+        let target = match path.as_str() {
+            "loadImage" => Callee::LoadImage,
+            "loadScript" => Callee::LoadScript,
+            "document.write" => Callee::DocumentWrite,
+            _ => Callee::Function(self.intern(path)),
+        };
+        Ok(Expr::Call { target, args })
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.advance() {
+    /// A non-identifier primary expression, starting at `token`.
+    fn primary(&mut self, token: Option<JsToken>) -> Result<Expr, ParseError> {
+        match token {
             Some(JsToken::Num(v)) => Ok(Expr::Num(v)),
             Some(JsToken::Str(s)) => Ok(Expr::Str(s)),
             Some(JsToken::Keyword("true")) => Ok(Expr::Bool(true)),
             Some(JsToken::Keyword("false")) => Ok(Expr::Bool(false)),
-            Some(JsToken::Ident(name)) => Ok(Expr::Var(name)),
             Some(JsToken::Punct("(")) => {
                 let e = self.expression()?;
                 self.expect_punct(")")?;
@@ -443,7 +581,9 @@ mod tests {
     fn parses_var_and_while() {
         let p = parse_program("var i = 0; while (i < 3) { i = i + 1; }").unwrap();
         assert_eq!(p.statements.len(), 2);
-        assert!(matches!(&p.statements[0], Stmt::VarDecl { name, .. } if name == "i"));
+        assert!(
+            matches!(&p.statements[0], Stmt::VarDecl { var, .. } if p.names[var.name.0] == "i")
+        );
         let Stmt::While { body, .. } = &p.statements[1] else {
             panic!("expected while");
         };
@@ -454,12 +594,13 @@ mod tests {
     fn parses_function_and_call() {
         let p =
             parse_program("function mix(a, b) { return a * 31 + b; } var h = mix(1, 2);").unwrap();
-        let Stmt::FunctionDecl { name, params, body } = &p.statements[0] else {
+        let Stmt::FunctionDecl(f) = &p.statements[0] else {
             panic!("expected function");
         };
-        assert_eq!(name, "mix");
-        assert_eq!(params, &["a", "b"]);
-        assert_eq!(body.len(), 1);
+        assert_eq!(p.names[f.name.0], "mix");
+        assert_eq!(f.params, [0, 1], "a and b take the first two slots");
+        assert_eq!(f.frame, 2);
+        assert_eq!(f.body.len(), 1);
     }
 
     #[test]
@@ -468,7 +609,7 @@ mod tests {
         let Stmt::Expr(Expr::Call { target, args }) = &p.statements[0] else {
             panic!("expected call");
         };
-        assert_eq!(target, "document.write");
+        assert_eq!(*target, Callee::DocumentWrite);
         assert_eq!(args.len(), 1);
     }
 
@@ -479,13 +620,26 @@ mod tests {
             panic!()
         };
         // (1 + (2*3)) < 10
-        let Expr::Binary { op: "<", left, .. } = e else {
+        let Expr::Binary {
+            op: BinOp::Lt,
+            left,
+            ..
+        } = e
+        else {
             panic!("{e:?}")
         };
-        let Expr::Binary { op: "+", right, .. } = left.as_ref() else {
+        let Expr::Binary {
+            op: BinOp::Add,
+            right,
+            ..
+        } = left.as_ref()
+        else {
             panic!()
         };
-        assert!(matches!(right.as_ref(), Expr::Binary { op: "*", .. }));
+        assert!(matches!(
+            right.as_ref(),
+            Expr::Binary { op: BinOp::Mul, .. }
+        ));
     }
 
     #[test]
@@ -514,6 +668,41 @@ mod tests {
     fn deep_nesting_errors_instead_of_overflowing() {
         let src = format!("var x = {}1{};", "(".repeat(500), ")".repeat(500));
         assert!(parse_program(&src).is_err());
+    }
+
+    #[test]
+    fn names_are_interned_once_and_framed_per_function() {
+        let src = "var a = 1; a = a + b; f(a); function f(a) { var t = a; return t; }";
+        let p = parse_program(src).unwrap();
+        assert_eq!(p.names, ["a", "b", "f", "t"]);
+        assert_eq!(p.frame, 2, "the top level uses a and b");
+        let Stmt::FunctionDecl(f) = &p.statements[3] else {
+            panic!()
+        };
+        assert_eq!((f.params.as_slice(), f.frame), (&[0][..], 2), "a, then t");
+        let Stmt::Expr(Expr::Call {
+            target: Callee::Function(name),
+            ..
+        }) = &p.statements[2]
+        else {
+            panic!()
+        };
+        assert_eq!(*name, f.name);
+    }
+
+    #[test]
+    fn parenthesized_names_continue_a_member_path() {
+        let p = parse_program("(a).b = 1; (document).write(\"x\");").unwrap();
+        assert!(
+            matches!(&p.statements[0], Stmt::Expr(Expr::Assign { var, .. }) if p.names[var.name.0] == "a.b")
+        );
+        assert!(matches!(
+            &p.statements[1],
+            Stmt::Expr(Expr::Call {
+                target: Callee::DocumentWrite,
+                ..
+            })
+        ));
     }
 
     #[test]

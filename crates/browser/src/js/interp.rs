@@ -1,8 +1,7 @@
 //! The tree-walking interpreter with host effects and an operation budget.
 
-use super::ast::{parse_program, Expr, Stmt};
-use std::collections::HashMap;
-use std::fmt;
+use super::ast::{parse_program, BinOp, Callee, Expr, Function, Name, Stmt, UnaryOp};
+use std::fmt::{self, Write};
 
 /// A side effect a script asked the browser for.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,9 +91,21 @@ enum Flow {
     OutOfGas,
 }
 
-struct Interp {
-    globals: HashMap<String, Value>,
-    functions: HashMap<String, (Vec<String>, Vec<Stmt>)>,
+/// Variables are resolved at parse time to a frame slot and a global
+/// [`Name`], so a frame is a run of `Option<Value>` slots where `Some`
+/// means "bound in this frame". A read tries the running frame, then the
+/// globals; an assignment updates the frame's binding if it has one and
+/// otherwise creates or updates a global.
+struct Interp<'p> {
+    globals: Vec<Option<Value>>,
+    /// Registered functions, borrowed from the parsed program: registering
+    /// or calling a function never copies its AST.
+    functions: Vec<Option<&'p Function>>,
+    /// All live frames, innermost last; the running frame starts at
+    /// `base`. Slots are reused across calls.
+    stack: Vec<Option<Value>>,
+    /// Argument values of the calls being set up, innermost last.
+    args: Vec<Value>,
     effects: Vec<JsEffect>,
     gas: u64,
     ops: u64,
@@ -120,10 +131,13 @@ pub fn execute(source: &str, gas: Option<u64>) -> JsOutcome {
             }
         }
     };
-    let tokens = program.tokens;
+    let names = program.names.len();
     let mut interp = Interp {
-        globals: HashMap::new(),
-        functions: HashMap::new(),
+        globals: vec![None; names],
+        functions: vec![None; names],
+        // The top-level frame sits at base 0.
+        stack: vec![None; program.frame],
+        args: Vec::new(),
         effects: Vec::new(),
         gas: gas.unwrap_or(DEFAULT_GAS),
         ops: 0,
@@ -132,15 +146,12 @@ pub fn execute(source: &str, gas: Option<u64>) -> JsOutcome {
     let mut hit_gas_limit = false;
     // Hoist function declarations (simplified hoisting).
     for stmt in &program.statements {
-        if let Stmt::FunctionDecl { name, params, body } = stmt {
-            interp
-                .functions
-                .insert(name.clone(), (params.clone(), body.clone()));
+        if let Stmt::FunctionDecl(f) = stmt {
+            interp.functions[f.name.0] = Some(f);
         }
     }
-    let mut locals = HashMap::new();
     for stmt in &program.statements {
-        match interp.exec(stmt, &mut locals) {
+        match interp.exec(stmt, 0) {
             Flow::Normal => {}
             Flow::Return(_) => break,
             Flow::OutOfGas => {
@@ -152,14 +163,14 @@ pub fn execute(source: &str, gas: Option<u64>) -> JsOutcome {
     JsOutcome {
         effects: interp.effects,
         ops: interp.ops,
-        tokens,
+        tokens: program.tokens,
         bytes,
         parse_ok: true,
         hit_gas_limit,
     }
 }
 
-impl Interp {
+impl<'p> Interp<'p> {
     fn charge(&mut self) -> bool {
         self.ops += 1;
         if self.gas == 0 {
@@ -169,71 +180,72 @@ impl Interp {
         true
     }
 
-    fn exec(&mut self, stmt: &Stmt, locals: &mut HashMap<String, Value>) -> Flow {
+    /// Runs `stmts` in the frame at `base`, stopping at the first
+    /// non-normal flow.
+    fn exec_block(&mut self, stmts: &'p [Stmt], base: usize) -> Flow {
+        for s in stmts {
+            match self.exec(s, base) {
+                Flow::Normal => {}
+                other => return other,
+            }
+        }
+        Flow::Normal
+    }
+
+    fn exec(&mut self, stmt: &'p Stmt, base: usize) -> Flow {
         if !self.charge() {
             return Flow::OutOfGas;
         }
         match stmt {
-            Stmt::VarDecl { name, init } => {
+            Stmt::VarDecl { var, init } => {
                 let value = match init {
-                    Some(e) => match self.eval(e, locals) {
-                        Ok(v) => v,
-                        Err(flow) => return flow,
+                    Some(e) => match self.eval(e, base) {
+                        Some(v) => v,
+                        None => return Flow::OutOfGas,
                     },
                     None => Value::Undefined,
                 };
-                locals.insert(name.clone(), value);
+                self.stack[base + var.slot] = Some(value);
                 Flow::Normal
             }
-            Stmt::Expr(e) => match self.eval(e, locals) {
-                Ok(_) => Flow::Normal,
-                Err(flow) => flow,
+            Stmt::Expr(e) => match self.eval(e, base) {
+                Some(_) => Flow::Normal,
+                None => Flow::OutOfGas,
             },
             Stmt::If {
                 cond,
                 then_branch,
                 else_branch,
             } => {
-                let c = match self.eval(cond, locals) {
-                    Ok(v) => v,
-                    Err(flow) => return flow,
+                let Some(c) = self.eval(cond, base) else {
+                    return Flow::OutOfGas;
                 };
                 let branch = if c.truthy() { then_branch } else { else_branch };
-                for s in branch {
-                    match self.exec(s, locals) {
-                        Flow::Normal => {}
-                        other => return other,
-                    }
-                }
-                Flow::Normal
+                self.exec_block(branch, base)
             }
             Stmt::While { cond, body } => loop {
-                let c = match self.eval(cond, locals) {
-                    Ok(v) => v,
-                    Err(flow) => return flow,
+                let Some(c) = self.eval(cond, base) else {
+                    return Flow::OutOfGas;
                 };
                 if !c.truthy() {
                     return Flow::Normal;
                 }
-                for s in body {
-                    match self.exec(s, locals) {
-                        Flow::Normal => {}
-                        other => return other,
-                    }
+                match self.exec_block(body, base) {
+                    Flow::Normal => {}
+                    other => return other,
                 }
             },
-            Stmt::FunctionDecl { name, params, body } => {
+            Stmt::FunctionDecl(f) => {
                 // Re-registration at execution time is a no-op thanks to
                 // hoisting, but nested declarations register here.
-                self.functions
-                    .insert(name.clone(), (params.clone(), body.clone()));
+                self.functions[f.name.0] = Some(f);
                 Flow::Normal
             }
             Stmt::Return(value) => {
                 let v = match value {
-                    Some(e) => match self.eval(e, locals) {
-                        Ok(v) => v,
-                        Err(flow) => return flow,
+                    Some(e) => match self.eval(e, base) {
+                        Some(v) => v,
+                        None => return Flow::OutOfGas,
                     },
                     None => Value::Undefined,
                 };
@@ -242,129 +254,127 @@ impl Interp {
         }
     }
 
-    fn eval(&mut self, expr: &Expr, locals: &mut HashMap<String, Value>) -> Result<Value, Flow> {
+    /// Evaluates `expr` in the frame at `base`; `None` when the budget
+    /// (or the call depth) ran out.
+    fn eval(&mut self, expr: &'p Expr, base: usize) -> Option<Value> {
         if !self.charge() {
-            return Err(Flow::OutOfGas);
+            return None;
         }
         match expr {
-            Expr::Num(v) => Ok(Value::Num(*v)),
-            Expr::Str(s) => Ok(Value::Str(s.clone())),
-            Expr::Bool(b) => Ok(Value::Bool(*b)),
-            Expr::Var(name) => Ok(locals
-                .get(name)
-                .or_else(|| self.globals.get(name))
-                .cloned()
-                .unwrap_or(Value::Undefined)),
-            Expr::Assign { name, value } => {
-                let v = self.eval(value, locals)?;
+            Expr::Num(v) => Some(Value::Num(*v)),
+            Expr::Str(s) => Some(Value::Str(s.clone())),
+            Expr::Bool(b) => Some(Value::Bool(*b)),
+            Expr::Var(var) => Some(
+                self.stack[base + var.slot]
+                    .as_ref()
+                    .or(self.globals[var.name.0].as_ref())
+                    .cloned()
+                    .unwrap_or(Value::Undefined),
+            ),
+            Expr::Assign { var, value } => {
+                let v = self.eval(value, base)?;
                 // Assignment updates the innermost binding that exists;
                 // otherwise creates a global (JS semantics, simplified).
-                if locals.contains_key(name) {
-                    locals.insert(name.clone(), v.clone());
+                let local = &mut self.stack[base + var.slot];
+                if local.is_some() {
+                    *local = Some(v.clone());
                 } else {
-                    self.globals.insert(name.clone(), v.clone());
+                    self.globals[var.name.0] = Some(v.clone());
                 }
-                Ok(v)
+                Some(v)
             }
             Expr::Unary { op, operand } => {
-                let v = self.eval(operand, locals)?;
-                Ok(match *op {
-                    "-" => Value::Num(-v.to_num()),
-                    "!" => Value::Bool(!v.truthy()),
-                    _ => Value::Undefined,
+                let v = self.eval(operand, base)?;
+                Some(match op {
+                    UnaryOp::Neg => Value::Num(-v.to_num()),
+                    UnaryOp::Not => Value::Bool(!v.truthy()),
                 })
             }
             Expr::Binary { op, left, right } => {
-                let l = self.eval(left, locals)?;
-                let r = self.eval(right, locals)?;
-                Ok(binary(op, &l, &r))
+                let l = self.eval(left, base)?;
+                let r = self.eval(right, base)?;
+                Some(binary(*op, l, r))
             }
             Expr::Call { target, args } => {
-                let mut values = Vec::with_capacity(args.len());
+                let mark = self.args.len();
                 for a in args {
-                    values.push(self.eval(a, locals)?);
+                    let v = self.eval(a, base)?;
+                    self.args.push(v);
                 }
-                self.call(target, values)
+                let result = self.call(*target, mark);
+                self.args.truncate(mark);
+                result
             }
         }
     }
 
-    fn call(&mut self, target: &str, args: Vec<Value>) -> Result<Value, Flow> {
-        match target {
-            "loadImage" => {
-                if let Some(v) = args.first() {
-                    self.effects.push(JsEffect::LoadImage(v.to_string()));
-                }
-                Ok(Value::Undefined)
-            }
-            "loadScript" => {
-                if let Some(v) = args.first() {
-                    self.effects.push(JsEffect::LoadScript(v.to_string()));
-                }
-                Ok(Value::Undefined)
-            }
-            "document.write" => {
-                if let Some(v) = args.first() {
-                    self.effects.push(JsEffect::DocumentWrite(v.to_string()));
-                }
-                Ok(Value::Undefined)
-            }
-            name => {
-                let Some((params, body)) = self.functions.get(name).cloned() else {
-                    // Unknown function: evaluate to undefined, as a lenient
-                    // engine does for missing host APIs.
-                    return Ok(Value::Undefined);
-                };
-                if self.call_depth >= MAX_CALL_DEPTH {
-                    return Err(Flow::OutOfGas);
-                }
-                self.call_depth += 1;
-                let mut frame: HashMap<String, Value> = HashMap::new();
-                for (i, p) in params.iter().enumerate() {
-                    frame.insert(p.clone(), args.get(i).cloned().unwrap_or(Value::Undefined));
-                }
-                let mut result = Value::Undefined;
-                for s in &body {
-                    match self.exec(s, &mut frame) {
-                        Flow::Normal => {}
-                        Flow::Return(v) => {
-                            result = v;
-                            break;
-                        }
-                        Flow::OutOfGas => {
-                            self.call_depth -= 1;
-                            return Err(Flow::OutOfGas);
-                        }
-                    }
-                }
-                self.call_depth -= 1;
-                Ok(result)
-            }
+    /// Calls `target` with the argument values `self.args[mark..]`.
+    fn call(&mut self, target: Callee, mark: usize) -> Option<Value> {
+        let effect = match target {
+            Callee::LoadImage => JsEffect::LoadImage,
+            Callee::LoadScript => JsEffect::LoadScript,
+            Callee::DocumentWrite => JsEffect::DocumentWrite,
+            Callee::Function(name) => return self.call_function(name, mark),
+        };
+        if let Some(v) = self.args.get(mark) {
+            self.effects.push(effect(v.to_string()));
         }
+        Some(Value::Undefined)
+    }
+
+    fn call_function(&mut self, name: Name, mark: usize) -> Option<Value> {
+        let Some(f) = self.functions[name.0] else {
+            // Unknown function: evaluate to undefined, as a lenient
+            // engine does for missing host APIs.
+            return Some(Value::Undefined);
+        };
+        if self.call_depth >= MAX_CALL_DEPTH {
+            return None;
+        }
+        self.call_depth += 1;
+        let base = self.stack.len();
+        self.stack.resize(base + f.frame, None);
+        // In parameter order, so a repeated parameter name binds the
+        // later argument; missing arguments bind `undefined`.
+        for (i, &slot) in f.params.iter().enumerate() {
+            let arg = self
+                .args
+                .get_mut(mark + i)
+                .map_or(Value::Undefined, |v| std::mem::replace(v, Value::Undefined));
+            self.stack[base + slot] = Some(arg);
+        }
+        let result = match self.exec_block(&f.body, base) {
+            Flow::Normal => Some(Value::Undefined),
+            Flow::Return(v) => Some(v),
+            Flow::OutOfGas => None,
+        };
+        self.stack.truncate(base);
+        self.call_depth -= 1;
+        result
     }
 }
 
-fn binary(op: &str, l: &Value, r: &Value) -> Value {
+fn binary(op: BinOp, l: Value, r: Value) -> Value {
     match op {
-        "+" => {
-            // String concatenation wins if either side is a string.
-            if matches!(l, Value::Str(_)) || matches!(r, Value::Str(_)) {
-                Value::Str(format!("{l}{r}"))
-            } else {
-                Value::Num(l.to_num() + r.to_num())
+        // String concatenation wins if either side is a string.
+        BinOp::Add => match (l, r) {
+            (Value::Str(mut s), r) => {
+                let _ = write!(s, "{r}");
+                Value::Str(s)
             }
-        }
-        "-" => Value::Num(l.to_num() - r.to_num()),
-        "*" => Value::Num(l.to_num() * r.to_num()),
-        "/" => Value::Num(l.to_num() / r.to_num()),
-        "%" => Value::Num(l.to_num() % r.to_num()),
-        "<" => Value::Bool(l.to_num() < r.to_num()),
-        ">" => Value::Bool(l.to_num() > r.to_num()),
-        "<=" => Value::Bool(l.to_num() <= r.to_num()),
-        ">=" => Value::Bool(l.to_num() >= r.to_num()),
-        "==" => Value::Bool(js_eq(l, r)),
-        "!=" => Value::Bool(!js_eq(l, r)),
-        _ => Value::Undefined,
+            (l, Value::Str(s)) => Value::Str(format!("{l}{s}")),
+            (l, r) => Value::Num(l.to_num() + r.to_num()),
+        },
+        BinOp::Sub => Value::Num(l.to_num() - r.to_num()),
+        BinOp::Mul => Value::Num(l.to_num() * r.to_num()),
+        BinOp::Div => Value::Num(l.to_num() / r.to_num()),
+        BinOp::Rem => Value::Num(l.to_num() % r.to_num()),
+        BinOp::Lt => Value::Bool(l.to_num() < r.to_num()),
+        BinOp::Gt => Value::Bool(l.to_num() > r.to_num()),
+        BinOp::Le => Value::Bool(l.to_num() <= r.to_num()),
+        BinOp::Ge => Value::Bool(l.to_num() >= r.to_num()),
+        BinOp::Eq => Value::Bool(js_eq(&l, &r)),
+        BinOp::Ne => Value::Bool(!js_eq(&l, &r)),
     }
 }
 

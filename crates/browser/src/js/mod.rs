@@ -20,6 +20,8 @@ mod ast;
 mod interp;
 mod lexer;
 
-pub use ast::{parse_program, Expr, ParseError, Program, Stmt};
+pub use ast::{
+    parse_program, BinOp, Callee, Expr, Function, Name, ParseError, Program, Stmt, UnaryOp, Var,
+};
 pub use interp::{execute, JsEffect, JsOutcome, DEFAULT_GAS};
 pub use lexer::{lex, JsToken};

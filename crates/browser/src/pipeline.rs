@@ -330,6 +330,8 @@ fn load_page_inner<F: ResourceFetcher + ?Sized>(
         css_discovered: 0,
         css_processed: 0,
         since_display: 0,
+        generation: 0,
+        redraw_memo: None,
         side_end: start,
         m: LoadMetrics {
             mode: cfg.mode,
@@ -425,6 +427,9 @@ enum Cat {
     RedrawReflow,
 }
 
+/// `(match_attempts, declarations_applied, layout)` of one styled layout.
+type StyledLayout = (usize, usize, layout::LayoutResult);
+
 struct Loader<'a, F: ResourceFetcher + ?Sized> {
     fetcher: &'a mut F,
     cfg: &'a PipelineConfig,
@@ -446,6 +451,11 @@ struct Loader<'a, F: ResourceFetcher + ?Sized> {
     css_discovered: usize,
     css_processed: usize,
     since_display: usize,
+    /// Bumped on every change to what a styled layout reads: the DOM
+    /// (root set, markup adopted) and the sheet set.
+    generation: u64,
+    /// The last styled layout and the generation it was computed at.
+    redraw_memo: Option<(u64, StyledLayout)>,
     /// Latest finish time of helper-core work issued during the
     /// transmission phase (`overlap_css`); the phase cannot end before it.
     side_end: SimTime,
@@ -523,6 +533,42 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
         }
     }
 
+    /// Grafts parsed markup under the document root (no-op before the
+    /// root document exists).
+    fn adopt(&mut self, fragment: &Document) {
+        if let Some(doc) = &mut self.doc {
+            let root = doc.root();
+            doc.adopt(root, fragment);
+            self.generation += 1;
+        }
+    }
+
+    fn push_sheet(&mut self, sheet: css::Stylesheet) {
+        self.sheets.push(sheet);
+        self.generation += 1;
+    }
+
+    /// Style resolution plus styled layout of `doc` (the current DOM)
+    /// under the current sheets.
+    ///
+    /// The result is memoized on [`Loader::generation`], so a redraw of an
+    /// unchanged page reuses the previous pass instead of recomputing it.
+    /// Only host time is saved: callers still charge the full simulated
+    /// style/layout/paint cost from the returned counts.
+    fn styled_layout(&mut self, doc: &Document) -> StyledLayout {
+        if let Some((generation, memo)) = self.redraw_memo {
+            if generation == self.generation {
+                return memo;
+            }
+        }
+        let sheet_refs: Vec<&css::Stylesheet> = self.sheets.iter().collect();
+        let styles = css::compute_styles(doc, &sheet_refs);
+        let lr = layout::layout(doc, Some(&styles), self.cfg.viewport_px);
+        let out = (styles.match_attempts, styles.declarations_applied, lr);
+        self.redraw_memo = Some((self.generation, out));
+        out
+    }
+
     fn request(&mut self, url: &str) {
         if self.requested.insert(url.to_string()) {
             self.queue.push_back(url.to_string());
@@ -556,9 +602,9 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
         let is_root = self.doc.is_none();
         if is_root {
             self.doc = Some(parsed.document);
-        } else if let Some(doc) = &mut self.doc {
-            let root = doc.root();
-            doc.adopt(root, &parsed.document);
+            self.generation += 1;
+        } else {
+            self.adopt(&parsed.document);
         }
         for style in &parsed.inline_styles {
             self.on_inline_style(style);
@@ -592,7 +638,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
                     }
                     self.request(&u.clone());
                 }
-                self.sheets.push(parsed.sheet);
+                self.push_sheet(parsed.sheet);
             }
             PipelineMode::EnergyAware => {
                 // Cheap scan only; parsing waits for the layout phase.
@@ -660,7 +706,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
                     }
                     self.request(&u.clone());
                 }
-                self.sheets.push(parsed.sheet);
+                self.push_sheet(parsed.sheet);
             }
             PipelineMode::EnergyAware => {
                 self.ea_scan_css(body);
@@ -693,10 +739,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
                         }
                         self.request(&r.url.clone());
                     }
-                    if let Some(doc) = &mut self.doc {
-                        let root = doc.root();
-                        doc.adopt(root, &parsed.document);
-                    }
+                    self.adopt(&parsed.document);
                     for style in &parsed.inline_styles {
                         self.on_inline_style(style);
                     }
@@ -747,13 +790,10 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
         {
             return;
         }
-        let Some(doc) = &self.doc else { return };
-        let sheet_refs: Vec<&css::Stylesheet> = self.sheets.iter().collect();
-        let styles = css::compute_styles(doc, &sheet_refs);
-        let lr = layout::layout(doc, Some(&styles), self.cfg.viewport_px);
-        let d = self
-            .cost
-            .style(styles.match_attempts, styles.declarations_applied)
+        let Some(doc) = self.doc.take() else { return };
+        let (attempts, applied, lr) = self.styled_layout(&doc);
+        self.doc = Some(doc);
+        let d = self.cost.style(attempts, applied)
             + self.cost.layout(lr.boxes)
             + self.cost.paint(lr.boxes);
         self.busy(d, Cat::RedrawReflow, "redraw_reflow");
@@ -810,7 +850,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
                 self.busy(d, Cat::Layout, "css_parse");
                 self.m.parallel_work += d;
                 self.m.parallel_span += d;
-                self.sheets.push(parsed.sheet);
+                self.push_sheet(parsed.sheet);
             }
             let bytes: u64 = self.undecoded_images.iter().sum();
             let d = self.cost.image_decode(bytes);
@@ -821,12 +861,8 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
             self.m.parallel_span += d;
         }
         let doc = self.doc.take().unwrap_or_default();
-        let sheet_refs: Vec<&css::Stylesheet> = self.sheets.iter().collect();
-        let styles = css::compute_styles(&doc, &sheet_refs);
-        let lr = layout::layout(&doc, Some(&styles), self.cfg.viewport_px);
-        let d_style = self
-            .cost
-            .style(styles.match_attempts, styles.declarations_applied);
+        let (attempts, applied, lr) = self.styled_layout(&doc);
+        let d_style = self.cost.style(attempts, applied);
         let d = d_style + self.cost.layout(lr.boxes) + self.cost.paint(lr.boxes);
         self.busy(d, Cat::Layout, "style_layout_paint");
         self.m.parallel_work += d_style;
@@ -854,7 +890,9 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
                     .map(|p| cost.css_parse(p.bytes, p.sheet.rules.len()))
                     .collect();
                 self.parallel_stage(&durs, plan.style_threads, "css_parse");
-                self.sheets.extend(parsed.into_iter().map(|p| p.sheet));
+                for p in parsed {
+                    self.push_sheet(p.sheet);
+                }
             }
             let images = std::mem::take(&mut self.undecoded_images);
             if !images.is_empty() {
@@ -1287,5 +1325,139 @@ mod layout_cache_tests {
             )
         };
         assert_eq!(run().final_display_at, run().final_display_at);
+    }
+}
+
+#[cfg(test)]
+mod redraw_memo_tests {
+    use super::*;
+    use crate::fetch::{FetchCompletion, ResourceFetcher};
+    use ewb_webpage::{ObjectKind, WebObject};
+    use std::collections::{HashMap, VecDeque};
+
+    /// Serves a fixed object set, completing requests in request order.
+    struct Site {
+        objects: HashMap<String, WebObject>,
+        queue: VecDeque<(String, SimTime)>,
+    }
+    impl ResourceFetcher for Site {
+        fn request(&mut self, url: &str, t: SimTime) {
+            self.queue.push_back((url.to_string(), t));
+        }
+        fn next_completion(&mut self) -> Option<FetchCompletion> {
+            let (url, t) = self.queue.pop_front()?;
+            let object = self.objects.get(&url).cloned();
+            Some(FetchCompletion::delivered(url, t, object))
+        }
+    }
+
+    const ROOT: &str = "<html><head><link rel=\"stylesheet\" href=\"http://t/a.css\"></head>\
+        <body><p class=\"c0\">text</p>\
+        <img src=\"http://t/i0.png\"><img src=\"http://t/i1.png\"><img src=\"http://t/i2.png\">\
+        <img src=\"http://t/i3.png\"><img src=\"http://t/i4.png\"><img src=\"http://t/i5.png\">\
+        <img src=\"http://t/i6.png\"><img src=\"http://t/i7.png\">\
+        <script src=\"http://t/s.js\"></script>\
+        <img src=\"http://t/i8.png\"><img src=\"http://t/i9.png\"><img src=\"http://t/i10.png\">\
+        </body></html>";
+    /// Imports a sheet whose URL does not end in `.css`: the browser does
+    /// not wait for it before redrawing, so it lands between redraws.
+    const A_CSS: &str =
+        "@import \"http://t/late.style\"; .c0 { font-size: 20px; } .w p { margin: 10px; }";
+    /// Written by `s.js`: new content, no new resources.
+    const WRITTEN: &str = "<div class='w'><p>written</p><p>more</p></div>";
+    const LATE_CSS: &str = ".w { padding: 5px; } p { height: 30px; } \
+        .b0 { background: url(http://t/bg0.png); } .b1 { background: url(http://t/bg1.png); } \
+        .b2 { background: url(http://t/bg2.png); }";
+
+    fn site() -> Site {
+        let mut objects = HashMap::new();
+        let mut text = |url: &str, kind, body: String| {
+            objects.insert(url.to_string(), WebObject::text(url, kind, body));
+        };
+        text("http://t/", ObjectKind::Html, ROOT.to_string());
+        text("http://t/a.css", ObjectKind::Css, A_CSS.to_string());
+        text("http://t/late.style", ObjectKind::Css, LATE_CSS.to_string());
+        text(
+            "http://t/s.js",
+            ObjectKind::Js,
+            format!("document.write(\"{WRITTEN}\");"),
+        );
+        let images = (0..11)
+            .map(|i| format!("http://t/i{i}.png"))
+            .chain((0..3).map(|i| format!("http://t/bg{i}.png")));
+        for url in images {
+            let obj = WebObject::opaque(url.clone(), ObjectKind::Image, 1024);
+            objects.insert(url, obj);
+        }
+        Site {
+            objects,
+            queue: VecDeque::new(),
+        }
+    }
+
+    /// Style + layout + paint of `doc` under `sheets`, computed from
+    /// scratch — what one redraw must charge.
+    fn full_redraw(cost: &CpuCostModel, doc: &Document, sheets: &[&str]) -> SimDuration {
+        let parsed: Vec<css::Stylesheet> = sheets.iter().map(|s| css::parse(s).sheet).collect();
+        let refs: Vec<&css::Stylesheet> = parsed.iter().collect();
+        let styles = css::compute_styles(doc, &refs);
+        let lr = layout::layout(doc, Some(&styles), 980.0);
+        cost.style(styles.match_attempts, styles.declarations_applied)
+            + cost.layout(lr.boxes)
+            + cost.paint(lr.boxes)
+    }
+
+    fn spans(events: &[ObsEvent], stage: &str) -> Vec<SimDuration> {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                ObsEvent::Span {
+                    name, start, end, ..
+                } if *name == stage => Some(*end - *start),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn redraws_after_dom_and_sheet_changes_charge_the_new_page() {
+        let cost = CpuCostModel::default();
+        let recorder = Recorder::memory();
+        let m = load_page_recorded(
+            &mut site(),
+            "http://t/",
+            SimTime::ZERO,
+            &PipelineConfig::new(PipelineMode::Original),
+            &cost,
+            recorder.clone(),
+        );
+        assert_eq!(m.objects_fetched, 18, "every object, including late ones");
+
+        // Before the script: the root document under a.css.
+        let root_doc = html::parse(ROOT).document;
+        let d_root = full_redraw(&cost, &root_doc, &[A_CSS]);
+        // After document.write: the written markup grafted on.
+        let mut written = root_doc.clone();
+        let root = written.root();
+        written.adopt(root, &html::parse(WRITTEN).document);
+        let d_written = full_redraw(&cost, &written, &[A_CSS]);
+        // After the late sheet arrives.
+        let d_late = full_redraw(&cost, &written, &[A_CSS, LATE_CSS]);
+        assert!(
+            d_root != d_written && d_written != d_late,
+            "each change must show"
+        );
+
+        let events = recorder.events();
+        // Two redraws of the root page (the second a memo hit); one after
+        // document.write alone (a miss); one after the late sheet alone (a
+        // miss); one more of that page (a hit); then the final pass (a hit).
+        let redraws = [d_root, d_root, d_written, d_late, d_late];
+        assert_eq!(spans(&events, "redraw_reflow"), redraws);
+        assert_eq!(spans(&events, "style_layout_paint"), [d_late]);
+        assert_eq!(
+            m.work.redraw_reflow,
+            redraws.iter().fold(SimDuration::ZERO, |a, &b| a + b)
+        );
     }
 }
